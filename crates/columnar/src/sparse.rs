@@ -77,7 +77,7 @@ impl SparseIndex {
         if self.first_key.is_empty() {
             return (0, self.row_count());
         }
-        let n = self.first_key.len();
+        // First keys ascend, so each bound is one binary search.
         let lo_sid = match lo {
             None => 0,
             Some(lo) => {
@@ -85,28 +85,20 @@ impl SparseIndex {
                 // >= lo: with prefix bounds, the *tail* of the preceding
                 // block may still match the prefix (e.g. a (Paris,rug) row
                 // in a block whose successor starts at (Paris,stool)).
-                let mut g = n;
-                for i in 0..n {
-                    if Self::cmp_prefix(&self.first_key[i], lo) != Ordering::Less {
-                        g = i;
-                        break;
-                    }
-                }
+                let g = self
+                    .first_key
+                    .partition_point(|k| Self::cmp_prefix(k, lo) == Ordering::Less);
                 self.start_sid[g.saturating_sub(1)]
             }
         };
         let hi_sid = match hi {
             None => self.row_count(),
+            // the first block whose first key > hi ends the range
+            // (`start_sid` has a trailing row-count entry)
             Some(hi) => {
-                // first block whose first key > hi ends the range.
-                let mut end = self.row_count();
-                for i in 0..n {
-                    if Self::cmp_prefix(&self.first_key[i], hi) == Ordering::Greater {
-                        end = self.start_sid[i];
-                        break;
-                    }
-                }
-                end
+                self.start_sid[self
+                    .first_key
+                    .partition_point(|k| Self::cmp_prefix(k, hi) != Ordering::Greater)]
             }
         };
         (lo_sid, hi_sid.max(lo_sid))

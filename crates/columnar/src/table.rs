@@ -400,31 +400,24 @@ impl StableTable {
             // No max metadata (shouldn't happen for built tables): no skipping.
             return (0, n);
         }
-        let mut start = 0;
-        while start < n {
-            let qualifies = match lo {
-                None => true,
-                // block max < lo ⇒ every row in the block is below the range
-                Some(lo) => cmp_prefix(&self.block_max_sk[start], lo) != Ordering::Less,
-            };
-            if qualifies {
-                break;
-            }
-            start += 1;
-        }
-        let mut end = n;
-        while end > start {
-            let qualifies = match hi {
-                None => true,
-                // block min > hi ⇒ every row in the block is above the range
-                Some(hi) => cmp_prefix(&self.sparse.first_keys()[end - 1], hi) != Ordering::Greater,
-            };
-            if qualifies {
-                break;
-            }
-            end -= 1;
-        }
-        (start, end)
+        // Block minima and maxima both ascend, so each end is one binary
+        // search.
+        let start = match lo {
+            None => 0,
+            // block max < lo ⇒ every row in the block is below the range
+            Some(lo) => self
+                .block_max_sk
+                .partition_point(|k| cmp_prefix(k, lo) == Ordering::Less),
+        };
+        let end = match hi {
+            None => n,
+            // block min > hi ⇒ every row in the block is above the range
+            Some(hi) => self
+                .sparse
+                .first_keys()
+                .partition_point(|k| cmp_prefix(k, hi) != Ordering::Greater),
+        };
+        (start, end.max(start))
     }
 
     /// Encoded blocks of column `c`, without decoding (image serialization).
@@ -855,6 +848,7 @@ impl TableBuilder {
 mod tests {
     use super::*;
     use crate::value::ValueType;
+    use proptest::prop_assert_eq;
 
     fn inventory_meta() -> TableMeta {
         TableMeta::new(
@@ -1011,6 +1005,96 @@ mod tests {
         .unwrap();
         let r = t.sid_range(Some(&[Value::from("Paris")]), Some(&[Value::from("Paris")]));
         assert!(r.start <= 3 && r.end >= 4);
+    }
+
+    /// The per-block linear walks behind [`StableTable::sid_range`] and
+    /// [`StableTable::block_range_for`] before they became binary
+    /// searches — the oracle the searches must match.
+    fn sid_range_linear(t: &StableTable, lo: Option<&[Value]>, hi: Option<&[Value]>) -> (u64, u64) {
+        let n = t.num_blocks();
+        if n == 0 {
+            return (0, t.row_count());
+        }
+        let first = |b: usize| t.block_sk_bounds(b).0;
+        let lo_sid = lo.map_or(0, |lo| {
+            let g = (0..n)
+                .find(|&b| cmp_prefix(first(b), lo) != Ordering::Less)
+                .unwrap_or(n);
+            t.block_range(g.saturating_sub(1)).0
+        });
+        let hi_sid = hi.map_or(t.row_count(), |hi| {
+            (0..n)
+                .find(|&b| cmp_prefix(first(b), hi) == Ordering::Greater)
+                .map_or(t.row_count(), |b| t.block_range(b).0)
+        });
+        (lo_sid, hi_sid.max(lo_sid))
+    }
+
+    fn block_range_for_linear(
+        t: &StableTable,
+        lo: Option<&[Value]>,
+        hi: Option<&[Value]>,
+    ) -> (usize, usize) {
+        let n = t.num_blocks();
+        let mut start = 0;
+        while start < n
+            && lo.is_some_and(|lo| cmp_prefix(t.block_sk_bounds(start).1, lo) == Ordering::Less)
+        {
+            start += 1;
+        }
+        let mut end = n;
+        while end > start
+            && hi
+                .is_some_and(|hi| cmp_prefix(t.block_sk_bounds(end - 1).0, hi) == Ordering::Greater)
+        {
+            end -= 1;
+        }
+        (start, end)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Binary-searched block lookups equal the linear walks: on empty
+        /// tables, on compound keys probed with full and one-column prefix
+        /// bounds, and on bounds naming keys absent from the table (ghosts
+        /// of deleted rows, gaps between blocks, keys past either end).
+        #[test]
+        fn block_lookups_match_linear_walks(
+            keep in proptest::collection::vec(0u64..4, 0..96),
+            block_rows in 1usize..7,
+            lo in (0u64..3, 0i64..10, 0i64..10),
+            hi in (0u64..3, 0i64..10, 0i64..10),
+        ) {
+            // keys (a, b) over an 8 × 8 grid minus a random share — the
+            // missing ones are the ghosts the bounds may name
+            let rows: Vec<Tuple> = (0..64i64)
+                .zip(keep.iter().chain(std::iter::repeat(&0)))
+                .filter(|(_, &k)| k > 0)
+                .map(|(i, _)| vec![Value::Int(i / 8), Value::Int(i % 8)])
+                .collect();
+            let t = StableTable::bulk_load(
+                TableMeta::new(
+                    "t",
+                    Schema::from_pairs(&[("a", ValueType::Int), ("b", ValueType::Int)]),
+                    vec![0, 1],
+                ),
+                TableOptions { block_rows, compressed: true },
+                &rows,
+            )
+            .unwrap();
+            // (0, ..) = unbounded, (1, a, _) = prefix on a, (2, a, b) = full key
+            let bound = |(arity, a, b): (u64, i64, i64)| match arity {
+                0 => None,
+                1 => Some(vec![Value::Int(a - 1)]),
+                _ => Some(vec![Value::Int(a - 1), Value::Int(b - 1)]),
+            };
+            let (lo, hi) = (bound(lo), bound(hi));
+            let (lo, hi) = (lo.as_deref(), hi.as_deref());
+            let r = t.sid_range(lo, hi);
+            prop_assert_eq!((r.start, r.end), sid_range_linear(&t, lo, hi));
+            prop_assert_eq!(t.block_range_for(lo, hi), block_range_for_linear(&t, lo, hi));
+        }
     }
 
     fn keyed_table(n: i64, block_rows: usize) -> StableTable {

@@ -59,7 +59,7 @@ pub use maintenance::{
 };
 pub use partition::PartitionSpec;
 pub use rowstore::RowStore;
-pub use txn::wal::WalStats;
+pub use txn::wal::{RetireStep, WalStats};
 
 use columnar::{
     ColumnarError, ImageStore, IoStats, IoTracker, Schema, StableTable, TableMeta, Tuple, Value,
@@ -530,8 +530,8 @@ impl Database {
     pub fn recover_from(&self, path: &Path) -> Result<u64, DbError> {
         let _commit = self.txn_mgr.commit_guard();
         let all = txn::wal::Wal::read_all(path).map_err(DbError::Io)?;
+        let (markers, records) = txn::wal::checkpoint_markers(all);
         if let Some(images) = &self.images {
-            let markers = txn::wal::checkpoint_markers(&all);
             let mut tables = self.tables.write();
             for (name, parts) in &markers {
                 let Some(entry) = tables.get_mut(name) else {
@@ -574,7 +574,6 @@ impl Database {
                 }
             }
         }
-        let records = txn::wal::effective_commits(all);
         let tables = self.tables.read();
         let mut last = 0;
         // Per-(table, partition) replay tallies: (entries, commits, last
@@ -624,9 +623,45 @@ impl Database {
         Ok(last)
     }
 
+    /// Rewrite the WAL to the records recovery still needs, now: each
+    /// partition's covering checkpoint marker, the commit deltas no
+    /// image-bearing marker covers, and the last commit (so recovery
+    /// resumes the same sequence). Recovery from the rewritten log equals
+    /// recovery from the full one. Returns the bytes retired.
+    ///
+    /// Checkpoints and compactions already retire on their own once an
+    /// image-bearing marker is durable and the log has doubled since its
+    /// last rewrite; this forces it, e.g. after a drain. A WAL-only
+    /// database (no image store) never rewrites: its markers reference no
+    /// persisted image, so the caller owns the recovery base and the log
+    /// stays as written.
+    pub fn retire_wal(&self) -> Result<u64, DbError> {
+        if self.images.is_none() {
+            return Ok(0);
+        }
+        Ok(self.txn_mgr.retire_wal(true)?)
+    }
+
+    /// The automatic half of [`Database::retire_wal`], run after every
+    /// checkpoint and compaction step once its commit guard is released.
+    fn retire_wal_if_due(&self) -> Result<(), DbError> {
+        if self.images.is_some() {
+            self.txn_mgr.retire_wal(false)?;
+        }
+        Ok(())
+    }
+
+    /// Test seam: make the next WAL retirement die right after `step`, as
+    /// a crash would (see `txn::wal::GroupWal::crash_retirement_at`). The
+    /// WAL then refuses further commits; drop the database and recover.
+    pub fn crash_wal_retirement_at(&self, step: Option<RetireStep>) {
+        self.txn_mgr.wal_crash_retirement_at(step);
+    }
+
     /// Cumulative WAL append statistics — how many commit/checkpoint
-    /// records were logged and how many physical append windows (one
-    /// write+flush each) carried them. Group commit shows up as
+    /// records were logged, how many physical append windows (one
+    /// write+flush each) carried them, and the bytes appended to and
+    /// retired from the log. Group commit shows up as
     /// `commits > appends`. `None` without a WAL.
     pub fn wal_stats(&self) -> Option<txn::wal::WalStats> {
         self.txn_mgr.wal_stats()
@@ -648,6 +683,9 @@ impl Database {
             reg.counter("db.wal.commits", &[]).add(w.commits);
             reg.counter("db.wal.checkpoints", &[]).add(w.checkpoints);
             reg.counter("db.wal.appends", &[]).add(w.appends);
+            if let Some(bytes) = self.txn_mgr.wal_metrics() {
+                reg.include(bytes);
+            }
             reg.gauge("db.wal.pending_records", &[])
                 .set(self.txn_mgr.wal_pending_records());
         }
@@ -950,6 +988,7 @@ impl Database {
                 obs::event!(obs::TraceKind::CheckpointInstall, table: t, part: p as u32, seq: seq);
             }
         }
+        self.retire_wal_if_due()?;
         Ok(true)
     }
 
@@ -1181,6 +1220,7 @@ impl Database {
                 );
             }
         }
+        self.retire_wal_if_due()?;
         Ok(Some(CompactionReport {
             blocks_merged: (b1 - b0) as u64,
             blocks_reused: (old_nb - (b1 - b0)) as u64,

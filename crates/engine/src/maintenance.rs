@@ -502,8 +502,10 @@ impl MaintenanceScheduler {
 
     /// Synchronously flush and checkpoint every partition to a clean
     /// delta state on the calling thread (the per-partition maintenance
-    /// mutex serializes against in-flight worker passes). Errors are
-    /// returned — a drain must not silently skip work.
+    /// mutex serializes against in-flight worker passes), then retire the
+    /// WAL history those checkpoints cover ([`Database::retire_wal`]), so
+    /// a restart reads live state only. Errors are returned — a drain must
+    /// not silently skip work.
     pub fn drain(&self) -> Result<(), DbError> {
         for table in self.shared.db.table_names() {
             for p in 0..self.shared.db.partition_count(&table)? {
@@ -515,6 +517,7 @@ impl MaintenanceScheduler {
                     .record(&table, p, Ok(ckpt), &Role::Checkpoint, bytes);
             }
         }
+        self.shared.db.retire_wal()?;
         Ok(())
     }
 

@@ -627,6 +627,39 @@ impl DiffHarness {
         self.assert_agree("after crashed compaction");
     }
 
+    /// The WAL file of `policy`'s database (`None` without a WAL).
+    pub fn wal_file(&self, policy: UpdatePolicy) -> Option<PathBuf> {
+        self.wal_dir.as_deref().map(|d| Self::wal_path(d, policy))
+    }
+
+    /// Retire every database's checkpoint-covered WAL records now
+    /// ([`Database::retire_wal`]) and re-verify; a later
+    /// [`Self::crash_recover`] then recovers from the rewritten logs.
+    pub fn retire_wal(&mut self) {
+        for (policy, db) in &self.dbs {
+            db.retire_wal()
+                .unwrap_or_else(|e| panic!("{policy:?}: WAL retirement failed: {e}"));
+        }
+        self.assert_agree("after WAL retirement");
+    }
+
+    /// Attempt a WAL retirement that dies right after `step`. Every
+    /// database must report the simulated crash — so each log must hold
+    /// an image-bearing checkpoint marker going in — and then refuses
+    /// commits, exactly like a dead process: follow with
+    /// [`Self::crash_recover`]. Requires [`Self::with_storage`].
+    pub fn retire_wal_crashing_at(&mut self, step: crate::RetireStep) {
+        assert!(self.images, "WAL retirement needs an image-backed harness");
+        for (policy, db) in &self.dbs {
+            db.crash_wal_retirement_at(Some(step));
+            let res = db.retire_wal();
+            assert!(
+                res.is_err(),
+                "{policy:?}: armed retirement must die after {step:?}, got {res:?}"
+            );
+        }
+    }
+
     /// Crash: drop every database and rebuild it from its base image plus
     /// WAL replay, then verify the recovered state against the model.
     /// Panics unless the harness was built with [`Self::with_wal`].

@@ -164,6 +164,7 @@ impl HistogramSnapshot {
     }
 }
 
+#[derive(Clone)]
 enum Handle {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
@@ -275,6 +276,17 @@ impl Registry {
                 (x.clone(), Handle::Histogram(x))
             },
         )
+    }
+
+    /// Register every instrument of `other` here as well. The handles
+    /// are shared, not copied: whoever updates `other`'s instruments
+    /// updates these, so both registries read the same values.
+    pub fn include(&self, other: &Registry) {
+        let theirs = other.metrics.read().unwrap();
+        let mut ours = self.metrics.write().unwrap();
+        for (k, h) in theirs.iter() {
+            ours.insert(k.clone(), h.clone());
+        }
     }
 
     /// Freeze every registered metric, sorted by name then labels.

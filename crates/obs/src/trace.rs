@@ -93,6 +93,9 @@ pub enum TraceKind {
     /// Slow-query log: a server query exceeded the configured
     /// threshold. `dur_ns` = query wall time, `a` = rows returned.
     SlowScan = 16,
+    /// WAL retirement: span over one rewrite of the log to its live
+    /// records. `a` = log bytes scanned, `b` = bytes retired.
+    WalRetire = 17,
 }
 
 impl TraceKind {
@@ -115,6 +118,7 @@ impl TraceKind {
             TraceKind::RecoveryWalReplay => "recovery.wal_replay",
             TraceKind::SlowCommit => "slow.commit",
             TraceKind::SlowScan => "slow.scan",
+            TraceKind::WalRetire => "wal.retire",
         }
     }
 
@@ -137,6 +141,7 @@ impl TraceKind {
             14 => TraceKind::RecoveryWalReplay,
             15 => TraceKind::SlowCommit,
             16 => TraceKind::SlowScan,
+            17 => TraceKind::WalRetire,
             _ => return None,
         })
     }

@@ -360,6 +360,13 @@ impl TxnManager {
             .get_mut(table)
             .unwrap_or_else(|| panic!("publish into unregistered table {table}"));
         propagate(&mut st.master_write, &delta);
+        // A flush or checkpoint pin (maintenance does not take the commit
+        // guard) that ran since `alloc_seq` cached the Write-PDT snapshot
+        // under this very sequence, without this delta: refresh it, or the
+        // next transaction would miss this commit.
+        if st.snapshot_seq == seq {
+            st.write_snapshot = Arc::new(st.master_write.clone());
+        }
         inner
             .tz
             .push_back((table.to_string(), CommittedDelta { seq, pdt: delta }));
@@ -420,6 +427,31 @@ impl TxnManager {
     /// commit records vs physical append windows.
     pub fn wal_stats(&self) -> Option<wal::WalStats> {
         self.wal.as_ref().map(|w| w.stats())
+    }
+
+    /// The WAL's registry of byte counters (None without a WAL).
+    pub fn wal_metrics(&self) -> Option<&obs::Registry> {
+        self.wal.as_ref().map(|w| w.metrics())
+    }
+
+    /// Retire checkpoint-covered WAL records: when due
+    /// ([`wal::GroupWal::maybe_retire`]), or now when `force` is set
+    /// ([`wal::GroupWal::retire`]). Returns the bytes retired (0 without
+    /// a WAL). Call off the commit guard.
+    pub fn retire_wal(&self, force: bool) -> Result<u64, TxnError> {
+        let Some(w) = &self.wal else {
+            return Ok(0);
+        };
+        let res = if force { w.retire() } else { w.maybe_retire() };
+        res.map_err(TxnError::Wal)
+    }
+
+    /// Test seam: simulate a crash right after `step` of the next WAL
+    /// retirement ([`wal::GroupWal::crash_retirement_at`]).
+    pub fn wal_crash_retirement_at(&self, step: Option<wal::RetireStep>) {
+        if let Some(w) = &self.wal {
+            w.crash_retirement_at(step);
+        }
     }
 
     /// Test seam: hold/release the coordinator's flush leader so records
@@ -755,6 +787,30 @@ mod tests {
             cur = merge_rows(&cur, p);
         }
         cur
+    }
+
+    /// A flush landing between a commit's `alloc_seq` and `publish_pdt`
+    /// caches the emptied Write-PDT under the commit's own sequence; the
+    /// publish must not leave that snapshot behind.
+    #[test]
+    fn flush_inside_a_commit_window_keeps_snapshots_current() {
+        let m = mgr();
+        let delete_at_0 = |k: i64| {
+            let mut d = Pdt::new(schema(), vec![0]);
+            d.add_delete(0, &[Value::Int(k)]);
+            Arc::new(d)
+        };
+        let s1 = m.alloc_seq();
+        m.publish_pdt("t", delete_at_0(0), s1);
+        let s2 = m.alloc_seq();
+        m.flush_write_to_read("t");
+        m.publish_pdt("t", delete_at_0(10), s2);
+        let c = m.begin();
+        let keys: Vec<Value> = view(&base(5), &c)
+            .into_iter()
+            .map(|r| r[0].clone())
+            .collect();
+        assert_eq!(keys, vec![Value::Int(20), Value::Int(30), Value::Int(40)]);
     }
 
     #[test]

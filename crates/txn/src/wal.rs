@@ -11,16 +11,33 @@
 //!
 //! A background checkpoint folds every commit up to some sequence number
 //! into a fresh stable image *while later commits keep appending records*.
-//! The log therefore cannot simply be truncated at checkpoint time: a
-//! record written during the stable rewrite (seq > the checkpoint's pinned
-//! sequence) lands in the file **before** the checkpoint completes, but is
-//! *not* contained in the new image. Instead the checkpoint appends a
-//! [`WalRecord::Checkpoint`] marker carrying the pinned sequence; recovery
-//! ([`Wal::read_effective`]) replays, per table, only the commit entries
-//! with `seq` greater than the table's last marker — everything at or
-//! below it is already durable in the image the table was rebuilt from.
-//! Skipping is by sequence number, not file position, precisely because of
-//! that mid-merge interleaving.
+//! The log therefore cannot simply be truncated at a file offset when a
+//! checkpoint completes: a record written during the stable rewrite (seq >
+//! the checkpoint's pinned sequence) lands in the file **before** the
+//! checkpoint's marker, but is *not* contained in the new image. Instead
+//! the checkpoint appends a [`WalRecord::Checkpoint`] marker carrying the
+//! pinned sequence; recovery ([`Wal::read_effective`]) replays, per table,
+//! only the commit entries with `seq` greater than the table's last marker
+//! — everything at or below it is already durable in the image the table
+//! was rebuilt from. Skipping is by sequence number, not file position,
+//! precisely because of that mid-merge interleaving.
+//!
+//! ## Retirement
+//!
+//! Skipped records still cost recovery a parse, so [`GroupWal`]
+//! physically *retires* them by sequence, not by offset: it rewrites the
+//! log to the records recovery reads — each `(table, partition)`'s
+//! covering marker, the commit deltas no image-bearing marker covers, and
+//! the last commit (emptied if need be, so recovery resumes the same
+//! sequence). The rewrite streams the log into `<path>.tmp` beside
+//! commits, then, under the file lock only, copies the bytes appended
+//! meanwhile, fsyncs, renames over the log, fsyncs the directory and
+//! reopens the appender. It runs once an image-bearing marker is durable
+//! and the log has doubled since its last rewrite
+//! ([`GroupWal::maybe_retire`]), or on demand ([`GroupWal::retire`]), so
+//! the log scales with live state rather than with commit count. Markers
+//! without an image (image-less databases, whose caller owns the recovery
+//! base) never retire anything.
 //!
 //! ## Batched entries
 //!
@@ -84,9 +101,10 @@ use pdt::value_space::ValueSpace;
 use pdt::{Pdt, Upd, DEL, DEL_BATCH, INS, INS_BATCH};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
-use std::path::Path;
-use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 
 // "pdtT": commit records carry a per-record string dictionary and log
 // string values as `u32` codes into it, so a batched entry repeating
@@ -165,14 +183,18 @@ impl WalRecord {
 /// Append-only write-ahead log.
 pub struct Wal {
     out: BufWriter<File>,
+    /// File length: every byte below it was written and flushed.
+    len: u64,
 }
 
 impl Wal {
     /// Open (creating if needed) for appending.
     pub fn open(path: &Path) -> std::io::Result<Wal> {
         let f = OpenOptions::new().create(true).append(true).open(path)?;
+        let len = f.metadata()?.len();
         Ok(Wal {
             out: BufWriter::new(f),
+            len,
         })
     }
 
@@ -188,8 +210,7 @@ impl Wal {
     ) -> std::io::Result<()> {
         let mut buf = Vec::new();
         encode_commit_record(&mut buf, seq, deltas);
-        self.out.write_all(&buf)?;
-        self.out.flush()
+        self.append_raw(&buf)
     }
 
     /// Append a checkpoint marker: `(table, partition)`'s commits with
@@ -206,8 +227,7 @@ impl Wal {
     ) -> std::io::Result<()> {
         let mut buf = Vec::new();
         encode_checkpoint_record(&mut buf, table, partition, seq, image_seq, None, &[]);
-        self.out.write_all(&buf)?;
-        self.out.flush()
+        self.append_raw(&buf)
     }
 
     /// Append pre-encoded record bytes as one physical write + flush
@@ -215,7 +235,9 @@ impl Wal {
     /// land a whole batch of records in a single append.
     fn append_raw(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         self.out.write_all(bytes)?;
-        self.out.flush()
+        self.out.flush()?;
+        self.len += bytes.len() as u64;
+        Ok(())
     }
 
     /// Read every record of a log file.
@@ -231,116 +253,7 @@ impl Wal {
         let mut records = Vec::new();
         let mut pos = 0usize;
         while pos < bytes.len() {
-            let magic = read_u32(&bytes, &mut pos)?;
-            if magic == CKPT_MAGIC {
-                let seq = read_u64(&bytes, &mut pos)?;
-                let nlen = read_u16(&bytes, &mut pos)? as usize;
-                let table = std::str::from_utf8(
-                    bytes
-                        .get(pos..pos + nlen)
-                        .ok_or_else(|| corrupt("truncated checkpoint name"))?,
-                )
-                .map_err(|_| corrupt("bad utf8 name"))?
-                .to_string();
-                pos += nlen;
-                let partition = read_u32(&bytes, &mut pos)?;
-                let has_image = *bytes
-                    .get(pos)
-                    .ok_or_else(|| corrupt("truncated checkpoint image flag"))?;
-                pos += 1;
-                let image_seq = match has_image {
-                    0 => None,
-                    1 => Some(read_u64(&bytes, &mut pos)?),
-                    f => return Err(corrupt(&format!("bad checkpoint image flag {f}"))),
-                };
-                let scope = *bytes
-                    .get(pos)
-                    .ok_or_else(|| corrupt("truncated checkpoint scope"))?;
-                pos += 1;
-                let (range, residual) = match scope {
-                    0 => (None, Vec::new()),
-                    1 => {
-                        let s0 = read_u64(&bytes, &mut pos)?;
-                        let s1 = read_u64(&bytes, &mut pos)?;
-                        let nentries = read_u32(&bytes, &mut pos)? as usize;
-                        let mut residual = Vec::with_capacity(nentries.min(bytes.len() - pos));
-                        for _ in 0..nentries {
-                            let sid = read_u64(&bytes, &mut pos)?;
-                            let kind = read_u16(&bytes, &mut pos)?;
-                            let nvals = read_u32(&bytes, &mut pos)? as usize;
-                            let mut values = Vec::with_capacity(nvals.min(bytes.len() - pos));
-                            for _ in 0..nvals {
-                                // residual values are always inline (no
-                                // per-record dictionary on markers)
-                                values.push(decode_value(&bytes, &mut pos, &[])?);
-                            }
-                            residual.push(WalEntry { sid, kind, values });
-                        }
-                        (Some((s0, s1)), residual)
-                    }
-                    f => return Err(corrupt(&format!("bad checkpoint scope {f}"))),
-                };
-                records.push(WalRecord::Checkpoint {
-                    seq,
-                    table,
-                    partition,
-                    image_seq,
-                    range,
-                    residual,
-                });
-                continue;
-            }
-            if magic != MAGIC {
-                return Err(corrupt("bad record magic"));
-            }
-            let seq = read_u64(&bytes, &mut pos)?;
-            // per-record string dictionary (sorted distinct strings)
-            let nstrs = read_u32(&bytes, &mut pos)? as usize;
-            let mut dict = Vec::with_capacity(nstrs.min(bytes.len() - pos));
-            for _ in 0..nstrs {
-                let n = read_u32(&bytes, &mut pos)? as usize;
-                let s = std::str::from_utf8(
-                    bytes
-                        .get(
-                            pos..pos
-                                .checked_add(n)
-                                .ok_or_else(|| corrupt("bad dict entry"))?,
-                        )
-                        .ok_or_else(|| corrupt("truncated dict entry"))?,
-                )
-                .map_err(|_| corrupt("bad utf8 dict entry"))?
-                .to_string();
-                pos += n;
-                dict.push(s);
-            }
-            let ntables = read_u32(&bytes, &mut pos)? as usize;
-            let mut tables = Vec::with_capacity(ntables);
-            for _ in 0..ntables {
-                let nlen = read_u16(&bytes, &mut pos)? as usize;
-                let name = std::str::from_utf8(
-                    bytes
-                        .get(pos..pos + nlen)
-                        .ok_or_else(|| corrupt("truncated name"))?,
-                )
-                .map_err(|_| corrupt("bad utf8 name"))?
-                .to_string();
-                pos += nlen;
-                let partition = read_u32(&bytes, &mut pos)?;
-                let nentries = read_u32(&bytes, &mut pos)? as usize;
-                let mut entries = Vec::with_capacity(nentries);
-                for _ in 0..nentries {
-                    let sid = read_u64(&bytes, &mut pos)?;
-                    let kind = read_u16(&bytes, &mut pos)?;
-                    let nvals = read_u32(&bytes, &mut pos)? as usize;
-                    let mut values = Vec::with_capacity(nvals);
-                    for _ in 0..nvals {
-                        values.push(decode_value(&bytes, &mut pos, &dict)?);
-                    }
-                    entries.push(WalEntry { sid, kind, values });
-                }
-                tables.push((name, partition, entries));
-            }
-            records.push(WalRecord::Commit { seq, tables });
+            records.push(parse_record(&bytes, &mut pos)?);
         }
         Ok(records)
     }
@@ -356,28 +269,10 @@ impl Wal {
 }
 
 /// Resolve checkpoint markers over an already-read record stream — the
-/// filtering behind [`Wal::read_effective`], separated so callers that
-/// also need the markers (image-based recovery) read the file once.
+/// filtering behind [`Wal::read_effective`]; [`checkpoint_markers`] also
+/// hands back the markers for image-based recovery.
 pub fn effective_commits(records: Vec<WalRecord>) -> Vec<WalRecord> {
-    let markers = checkpoint_seqs(&records);
-    records
-        .into_iter()
-        .filter_map(|rec| match rec {
-            WalRecord::Commit { seq, tables } => {
-                let kept: Vec<_> = tables
-                    .into_iter()
-                    .filter(|(t, p, _)| {
-                        markers
-                            .get(t.as_str())
-                            .and_then(|parts| parts.get(p))
-                            .is_none_or(|&m| seq > m)
-                    })
-                    .collect();
-                Some(WalRecord::Commit { seq, tables: kept })
-            }
-            WalRecord::Checkpoint { .. } => None,
-        })
-        .collect()
+    checkpoint_markers(records).1
 }
 
 /// Encode one commit record into `buf` (the layout `read_all` parses).
@@ -477,8 +372,9 @@ fn encode_checkpoint_record(
 }
 
 /// Coordinator counters: logical records enqueued vs physical append
-/// windows. `appends < commits` means group commit batched concurrent
-/// records into shared write+flush windows.
+/// windows, and the bytes the log gained and lost. `appends < commits`
+/// means group commit batched concurrent records into shared
+/// write+flush windows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Commit records enqueued.
@@ -487,6 +383,33 @@ pub struct WalStats {
     pub checkpoints: u64,
     /// Physical write + flush windows the log file saw.
     pub appends: u64,
+    /// Bytes appended by commits and markers since open — the log's write
+    /// volume, which retirement does not undo.
+    pub bytes_appended: u64,
+    /// Bytes removed from the log by retirement since open. The log file
+    /// holds its length at open plus `bytes_appended - bytes_retired`.
+    pub bytes_retired: u64,
+}
+
+/// Log growth below which retirement is never due: rewriting a log this
+/// small costs more fsyncs than its replay.
+pub const RETIRE_MIN_BYTES: u64 = 64 << 10;
+
+/// Read size of the streaming passes over the log during retirement.
+const STREAM_CHUNK: usize = 256 << 10;
+
+/// A step of log retirement after which a crash can be injected
+/// ([`GroupWal::crash_retirement_at`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RetireStep {
+    /// `<path>.tmp` holds the whole live log, fsync'd; `<path>` is
+    /// untouched.
+    TmpWritten,
+    /// The rename over `<path>` landed and the directory is fsync'd; the
+    /// appender still points at the replaced file.
+    Renamed,
+    /// The appender reopened on the rewritten file: retirement is done.
+    Reopened,
 }
 
 struct GroupState {
@@ -508,7 +431,19 @@ struct GroupState {
     /// Sticky I/O failure — the batch that hit it is lost, every waiter
     /// for a non-durable ticket gets the error.
     io_error: Option<String>,
+    /// An image-bearing checkpoint marker became durable since the last
+    /// retirement scan — the first half of the retirement trigger.
+    image_marker_durable: bool,
     stats: WalStats,
+}
+
+/// Retirement bookkeeping, behind its own lock so one rewrite runs at a
+/// time without blocking commits.
+struct RetireState {
+    /// Log length right after the last rewrite (or at open).
+    base_len: u64,
+    /// Test seam: simulate a crash right after this step.
+    crash_at: Option<RetireStep>,
 }
 
 /// Group-commit coordinator around a [`Wal`].
@@ -527,16 +462,32 @@ struct GroupState {
 /// the enqueue order, so recovery is byte-identical to the sequential
 /// path — [`Wal::read_effective`] filters checkpoint markers by
 /// sequence, not file position, and that invariant is preserved.
+///
+/// The coordinator also **retires** history ([`GroupWal::maybe_retire`],
+/// [`GroupWal::retire`]): it rewrites the log to the records recovery
+/// still needs, so the file scales with live state, not commit count.
 pub struct GroupWal {
+    path: PathBuf,
     state: StdMutex<GroupState>,
     file: StdMutex<Wal>,
+    retire: StdMutex<RetireState>,
     cv: Condvar,
+    /// Registry holding `db.wal.bytes_appended` / `db.wal.bytes_retired`,
+    /// registered once at open; the handles below are the live counters.
+    metrics: obs::Registry,
+    bytes_appended: Arc<obs::metrics::Counter>,
+    bytes_retired: Arc<obs::metrics::Counter>,
 }
 
 impl GroupWal {
     /// Open (creating if needed) for appending.
     pub fn open(path: &Path) -> std::io::Result<GroupWal> {
+        let wal = Wal::open(path)?;
+        let metrics = obs::Registry::new();
+        let bytes_appended = metrics.counter("db.wal.bytes_appended", &[]);
+        let bytes_retired = metrics.counter("db.wal.bytes_retired", &[]);
         Ok(GroupWal {
+            path: path.to_path_buf(),
             state: StdMutex::new(GroupState {
                 pending: Vec::new(),
                 pending_records: 0,
@@ -545,10 +496,18 @@ impl GroupWal {
                 flushing: false,
                 hold: false,
                 io_error: None,
+                image_marker_durable: false,
                 stats: WalStats::default(),
             }),
-            file: StdMutex::new(Wal::open(path)?),
+            retire: StdMutex::new(RetireState {
+                base_len: wal.len,
+                crash_at: None,
+            }),
+            file: StdMutex::new(wal),
             cv: Condvar::new(),
+            metrics,
+            bytes_appended,
+            bytes_retired,
         })
     }
 
@@ -637,7 +596,14 @@ impl GroupWal {
             g.stats.checkpoints += 1;
             g.enqueued
         };
-        self.wait_durable(ticket)
+        self.wait_durable(ticket)?;
+        if image_seq.is_some() {
+            self.state
+                .lock()
+                .expect("WAL state lock poisoned")
+                .image_marker_durable = true;
+        }
+        Ok(())
     }
 
     /// Leader path: take the whole pending buffer and land it in one
@@ -665,10 +631,15 @@ impl GroupWal {
         let mut g = self.state.lock().unwrap();
         g.flushing = false;
         match res {
+            // a retirement that failed mid-swap poisoned the log while this
+            // batch waited for the file: it may sit in the replaced file,
+            // so it is not durable
+            Ok(()) if g.io_error.is_some() => {}
             Ok(()) => {
                 if records > 0 {
                     g.stats.appends += 1;
                 }
+                self.bytes_appended.add(batch.len() as u64);
                 g.durable = g.durable.max(hi);
             }
             Err(e) => g.io_error = Some(e.to_string()),
@@ -677,9 +648,175 @@ impl GroupWal {
         g
     }
 
-    /// Counters snapshot (commits/markers enqueued, physical appends).
+    /// Counters snapshot (commits/markers enqueued, physical appends,
+    /// bytes appended and retired).
     pub fn stats(&self) -> WalStats {
-        self.state.lock().unwrap().stats
+        WalStats {
+            bytes_appended: self.bytes_appended.get(),
+            bytes_retired: self.bytes_retired.get(),
+            ..self.state.lock().expect("WAL state lock poisoned").stats
+        }
+    }
+
+    /// The registry holding this log's byte counters
+    /// (`db.wal.bytes_appended`, `db.wal.bytes_retired`).
+    pub fn metrics(&self) -> &obs::Registry {
+        &self.metrics
+    }
+
+    /// Retire history if due: an image-bearing checkpoint marker became
+    /// durable since the last rewrite, and the log has at least doubled
+    /// since then (and reached [`RETIRE_MIN_BYTES`]). Returns the bytes
+    /// retired — 0 when not due or while another retirement runs. Call it
+    /// off the commit guard: the scan runs beside commits.
+    pub fn maybe_retire(&self) -> std::io::Result<u64> {
+        let Ok(mut r) = self.retire.try_lock() else {
+            return Ok(0);
+        };
+        let armed = self
+            .state
+            .lock()
+            .expect("WAL state lock poisoned")
+            .image_marker_durable;
+        let len = self.file.lock().expect("WAL file lock poisoned").len;
+        if !armed || len < r.base_len.saturating_mul(2).max(RETIRE_MIN_BYTES) {
+            return Ok(0);
+        }
+        self.rewrite(&mut r)
+    }
+
+    /// Retire history now, whatever the log's growth — e.g. once
+    /// maintenance drained every partition. Returns the bytes retired; a
+    /// log without image-bearing markers is left as it is (0).
+    pub fn retire(&self) -> std::io::Result<u64> {
+        let mut r = self.retire.lock().expect("WAL retire lock poisoned");
+        self.rewrite(&mut r)
+    }
+
+    /// Test seam: make the next retirement die right after `step`, as a
+    /// crash would. The log stops accepting records (every later commit
+    /// fails), and the files stay as the crash left them.
+    pub fn crash_retirement_at(&self, step: Option<RetireStep>) {
+        self.retire
+            .lock()
+            .expect("WAL retire lock poisoned")
+            .crash_at = step;
+    }
+
+    /// Rewrite the log to its live records:
+    ///
+    /// 1. *Scan*, beside commits: the durable prefix `[0, end)` is streamed
+    ///    twice — once to find each partition's covering marker, once to
+    ///    write the live records to `<path>.tmp`, which is then fsync'd.
+    ///    Live are the covering marker of each `(table, partition)` (its
+    ///    bytes copied as they are), every commit delta that partition's
+    ///    image-bearing marker does not cover (in log order), and the
+    ///    last commit — emptied if need be, so recovery resumes the same
+    ///    sequence.
+    /// 2. *Swap*, under the file lock: the bytes appended since `end` are
+    ///    copied verbatim, the tmp file fsync'd and renamed over `<path>`,
+    ///    the directory fsync'd and the appender reopened. Commits wait
+    ///    for durability only during this step; enqueues never wait.
+    ///
+    /// Recovery from the rewritten log equals recovery from the old one:
+    /// retired deltas are exactly those recovery skips (commits at or
+    /// below a partition's covering marker), markers that lost to a later
+    /// one are never read, and the kept records keep their order.
+    fn rewrite(&self, r: &mut RetireState) -> std::io::Result<u64> {
+        let mut span = obs::span!(obs::TraceKind::WalRetire);
+        let Some((tmp, end)) = self.stage_live()? else {
+            span.cancel();
+            return Ok(0);
+        };
+        span.set_a(end);
+        let retired = self.swap_in(r, tmp, end)?;
+        span.set_b(retired);
+        Ok(retired)
+    }
+
+    /// Rewrite step 1, beside commits: stream the live records of the
+    /// durable prefix into `<path>.tmp` and fsync it. Returns the staged
+    /// file and the prefix length, or `None` when the log holds no
+    /// image-bearing marker.
+    fn stage_live(&self) -> std::io::Result<Option<(File, u64)>> {
+        {
+            let mut g = self.state.lock().expect("WAL state lock poisoned");
+            if let Some(msg) = &g.io_error {
+                return Err(std::io::Error::other(msg.clone()));
+            }
+            // a marker landing from here on re-arms the trigger
+            g.image_marker_durable = false;
+        }
+        let end = self.file.lock().expect("WAL file lock poisoned").len;
+        let live = LiveSet::scan(&self.path, end)?;
+        if !live.has_image_marker() {
+            return Ok(None);
+        }
+        let tmp_path = retire_tmp_path(&self.path);
+        match live.write_tmp(&self.path, end, &tmp_path) {
+            Ok(tmp) => Ok(Some((tmp, end))),
+            Err(e) => {
+                let _ = std::fs::remove_file(&tmp_path);
+                Err(e)
+            }
+        }
+    }
+
+    /// Rewrite step 2, under the file lock: append the bytes made durable
+    /// since `end` to the staged file, fsync it, rename it over the log,
+    /// fsync the directory and reopen the appender. Returns the bytes
+    /// retired.
+    fn swap_in(&self, r: &mut RetireState, mut tmp: File, end: u64) -> std::io::Result<u64> {
+        let tmp_path = retire_tmp_path(&self.path);
+        let mut file = self.file.lock().expect("WAL file lock poisoned");
+        let old_len = file.len;
+        let copied = copy_tail(&self.path, end, old_len, &mut tmp);
+        drop(tmp);
+        let new_len = match copied {
+            Ok(n) => n,
+            Err(e) => {
+                let _ = std::fs::remove_file(&tmp_path);
+                return Err(e);
+            }
+        };
+        self.crash_point(r, RetireStep::TmpWritten)?;
+        if let Err(e) = std::fs::rename(&tmp_path, &self.path) {
+            let _ = std::fs::remove_file(&tmp_path);
+            return Err(e);
+        }
+        // From here on the appender points at the replaced file until it
+        // reopens: any failure must stop the log from taking records.
+        let swapped = sync_parent_dir(&self.path)
+            .and_then(|()| self.crash_point(r, RetireStep::Renamed))
+            .and_then(|()| Wal::open(&self.path))
+            .map(|wal| *file = wal)
+            .and_then(|()| self.crash_point(r, RetireStep::Reopened));
+        if let Err(e) = swapped {
+            self.poison(&e);
+            return Err(e);
+        }
+        drop(file);
+        let retired = old_len.saturating_sub(new_len);
+        self.bytes_retired.add(retired);
+        r.base_len = new_len;
+        Ok(retired)
+    }
+
+    /// Fail the retirement at `step` if a simulated crash is armed there.
+    fn crash_point(&self, r: &mut RetireState, step: RetireStep) -> std::io::Result<()> {
+        if r.crash_at != Some(step) {
+            return Ok(());
+        }
+        r.crash_at = None;
+        let e = std::io::Error::other(format!("simulated crash after retirement step {step:?}"));
+        self.poison(&e);
+        Err(e)
+    }
+
+    /// Make every current and future durability wait fail with `e`.
+    fn poison(&self, e: &std::io::Error) {
+        self.state.lock().expect("WAL state lock poisoned").io_error = Some(e.to_string());
+        self.cv.notify_all();
     }
 
     /// Records currently buffered and not yet durable — test seam.
@@ -699,27 +836,304 @@ impl GroupWal {
     }
 }
 
-/// Last checkpoint marker sequence per table, then per partition (nested
-/// so replay filtering probes it without allocating per record).
-pub fn checkpoint_seqs(records: &[WalRecord]) -> HashMap<String, HashMap<u32, u64>> {
-    let mut m: HashMap<String, HashMap<u32, u64>> = HashMap::new();
-    for rec in records {
-        if let WalRecord::Checkpoint {
+/// What survives retirement in a log prefix: each partition's covering
+/// marker and the last commit record, both located by their ordinal in
+/// the prefix.
+struct LiveSet {
+    markers: HashMap<String, HashMap<u32, LiveMarker>>,
+    last_commit: Option<usize>,
+}
+
+struct LiveMarker {
+    at: usize,
+    seq: u64,
+    image: bool,
+}
+
+impl LiveSet {
+    /// First pass: find the covering markers (highest sequence, the later
+    /// one on a tie — the rule of [`checkpoint_markers`]).
+    fn scan(path: &Path, end: u64) -> std::io::Result<LiveSet> {
+        let mut live = LiveSet {
+            markers: HashMap::new(),
+            last_commit: None,
+        };
+        let mut stream = RecordStream::open(path, end)?;
+        let mut at = 0;
+        while let Some(rec) = stream.next_record()? {
+            match rec {
+                Outline::Checkpoint {
+                    seq,
+                    table,
+                    partition,
+                    image,
+                } => {
+                    let parts = live.markers.entry(table).or_default();
+                    if parts.get(&partition).is_none_or(|m| seq >= m.seq) {
+                        parts.insert(partition, LiveMarker { at, seq, image });
+                    }
+                }
+                Outline::Commit { .. } => live.last_commit = Some(at),
+            }
+            at += 1;
+        }
+        Ok(live)
+    }
+
+    fn has_image_marker(&self) -> bool {
+        self.markers
+            .values()
+            .flat_map(|p| p.values())
+            .any(|m| m.image)
+    }
+
+    /// Whether the partition's covering marker folded commit `seq`'s
+    /// delta into a persisted image.
+    fn retires(&self, table: &str, partition: u32, seq: u64) -> bool {
+        self.markers
+            .get(table)
+            .and_then(|parts| parts.get(&partition))
+            .is_some_and(|m| m.image && seq <= m.seq)
+    }
+
+    /// Second pass: stream the live records of `[0, end)` into a fresh
+    /// `tmp` file, in log order, and fsync it. Kept records and kept
+    /// commit sections are copied as encoded; no value is decoded.
+    fn write_tmp(&self, path: &Path, end: u64, tmp: &Path) -> std::io::Result<File> {
+        let mut out = BufWriter::new(File::create(tmp)?);
+        let mut stream = RecordStream::open(path, end)?;
+        let mut at = 0;
+        while let Some(rec) = stream.next_record()? {
+            match rec {
+                Outline::Checkpoint {
+                    table, partition, ..
+                } => {
+                    if self.markers[&table][&partition].at == at {
+                        out.write_all(stream.raw())?;
+                    }
+                }
+                Outline::Commit { seq, dict, tables } => {
+                    let kept: Vec<&Range<usize>> = tables
+                        .iter()
+                        .filter(|(t, p, _)| !self.retires(t, *p, seq))
+                        .map(|(_, _, section)| section)
+                        .collect();
+                    if kept.len() == tables.len() {
+                        out.write_all(stream.raw())?;
+                    } else if !kept.is_empty() || self.last_commit == Some(at) {
+                        // the same record narrowed to its kept sections;
+                        // the dictionary stays whole, so codes still
+                        // resolve (an emptied record needs none)
+                        let bytes = &stream.buf;
+                        out.write_all(&MAGIC.to_le_bytes())?;
+                        out.write_all(&seq.to_le_bytes())?;
+                        if kept.is_empty() {
+                            out.write_all(&0u32.to_le_bytes())?;
+                        } else {
+                            out.write_all(&bytes[dict])?;
+                        }
+                        out.write_all(&(kept.len() as u32).to_le_bytes())?;
+                        for section in kept {
+                            out.write_all(&bytes[section.clone()])?;
+                        }
+                    }
+                }
+            }
+            at += 1;
+        }
+        let f = out.into_inner().map_err(|e| e.into_error())?;
+        f.sync_data()?;
+        Ok(f)
+    }
+}
+
+/// A record's outline: enough to filter it and copy its parts without
+/// decoding a value. Ranges index the buffer the record was read from.
+enum Outline {
+    Commit {
+        seq: u64,
+        /// The encoded string dictionary, count included.
+        dict: Range<usize>,
+        /// Each touched `(table, partition)` with its encoded section.
+        tables: Vec<(String, u32, Range<usize>)>,
+    },
+    Checkpoint {
+        seq: u64,
+        table: String,
+        partition: u32,
+        image: bool,
+    },
+}
+
+/// [`parse_record`]'s walk without decoding: validates the framing of the
+/// record at `bytes[*pos]` and returns its outline.
+fn outline_record(bytes: &[u8], pos: &mut usize) -> std::io::Result<Outline> {
+    let magic = read_u32(bytes, pos)?;
+    if magic == CKPT_MAGIC {
+        let seq = read_u64(bytes, pos)?;
+        let table = read_name(bytes, pos)?;
+        let partition = read_u32(bytes, pos)?;
+        let image = match read_u8(bytes, pos)? {
+            0 => false,
+            1 => {
+                read_u64(bytes, pos)?;
+                true
+            }
+            f => return Err(corrupt(&format!("bad checkpoint image flag {f}"))),
+        };
+        match read_u8(bytes, pos)? {
+            0 => {}
+            1 => {
+                skip(bytes, pos, 16)?;
+                skip_entries(bytes, pos)?;
+            }
+            f => return Err(corrupt(&format!("bad checkpoint scope {f}"))),
+        }
+        return Ok(Outline::Checkpoint {
             seq,
             table,
             partition,
-            ..
-        } = rec
-        {
-            let e = m
-                .entry(table.clone())
-                .or_default()
-                .entry(*partition)
-                .or_insert(*seq);
-            *e = (*e).max(*seq);
+            image,
+        });
+    }
+    if magic != MAGIC {
+        return Err(corrupt("bad record magic"));
+    }
+    let seq = read_u64(bytes, pos)?;
+    let dict_start = *pos;
+    for _ in 0..read_u32(bytes, pos)? {
+        let n = read_u32(bytes, pos)? as usize;
+        skip(bytes, pos, n)?;
+    }
+    let dict = dict_start..*pos;
+    let ntables = read_u32(bytes, pos)? as usize;
+    let mut tables = Vec::with_capacity(ntables.min(bytes.len() - *pos));
+    for _ in 0..ntables {
+        let start = *pos;
+        let name = read_name(bytes, pos)?;
+        let partition = read_u32(bytes, pos)?;
+        skip_entries(bytes, pos)?;
+        tables.push((name, partition, start..*pos));
+    }
+    Ok(Outline::Commit { seq, dict, tables })
+}
+
+/// [`read_entries`] without decoding.
+fn skip_entries(bytes: &[u8], pos: &mut usize) -> std::io::Result<()> {
+    for _ in 0..read_u32(bytes, pos)? {
+        skip(bytes, pos, 10)?; // sid u64, kind u16
+        for _ in 0..read_u32(bytes, pos)? {
+            let width = match read_u8(bytes, pos)? {
+                0 => 0,
+                1 => 1,
+                2 | 3 => 8,
+                4 => read_u32(bytes, pos)? as usize,
+                5 | 6 => 4,
+                t => return Err(corrupt(&format!("bad value tag {t}"))),
+            };
+            skip(bytes, pos, width)?;
         }
     }
-    m
+    Ok(())
+}
+
+fn skip(bytes: &[u8], pos: &mut usize, n: usize) -> std::io::Result<()> {
+    *pos = pos
+        .checked_add(n)
+        .filter(|&end| end <= bytes.len())
+        .ok_or_else(|| corrupt("truncated field"))?;
+    Ok(())
+}
+
+/// Reads the records of a log prefix `[0, len)` through a bounded buffer,
+/// so a pass over the log never holds all of it in memory.
+struct RecordStream {
+    src: std::io::Take<File>,
+    buf: Vec<u8>,
+    /// `buf[start..end]` holds the record last returned.
+    start: usize,
+    end: usize,
+    eof: bool,
+}
+
+impl RecordStream {
+    fn open(path: &Path, len: u64) -> std::io::Result<RecordStream> {
+        Ok(RecordStream {
+            src: File::open(path)?.take(len),
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            eof: false,
+        })
+    }
+
+    /// The outline of the next record, or `None` at the end of the prefix.
+    fn next_record(&mut self) -> std::io::Result<Option<Outline>> {
+        self.start = self.end;
+        loop {
+            if self.start < self.buf.len() {
+                let mut pos = self.start;
+                match outline_record(&self.buf, &mut pos) {
+                    Ok(rec) => {
+                        self.end = pos;
+                        return Ok(Some(rec));
+                    }
+                    Err(e) if self.eof => return Err(e),
+                    // the record runs past the buffer: read more
+                    Err(_) => {}
+                }
+            } else if self.eof {
+                return Ok(None);
+            }
+            self.fill()?;
+        }
+    }
+
+    /// The encoded bytes of the record [`Self::next_record`] last returned.
+    fn raw(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Drop the consumed bytes, then read at least as many as are still
+    /// buffered, so a record larger than a chunk doubles its way in.
+    fn fill(&mut self) -> std::io::Result<()> {
+        self.buf.drain(..self.start);
+        self.start = 0;
+        self.end = 0;
+        let want = STREAM_CHUNK.max(self.buf.len()) as u64;
+        let got = self.src.by_ref().take(want).read_to_end(&mut self.buf)? as u64;
+        self.eof = got < want;
+        Ok(())
+    }
+}
+
+/// `<path>.tmp`, where retirement stages the rewritten log.
+fn retire_tmp_path(path: &Path) -> PathBuf {
+    let mut s = path.as_os_str().to_owned();
+    s.push(".tmp");
+    PathBuf::from(s)
+}
+
+/// Append the log's bytes `[from, to)` to `out` and fsync it; returns
+/// `out`'s new length.
+fn copy_tail(path: &Path, from: u64, to: u64, out: &mut File) -> std::io::Result<u64> {
+    let mut src = File::open(path)?;
+    src.seek(SeekFrom::Start(from))?;
+    let copied = std::io::copy(&mut src.take(to - from), out)?;
+    if copied != to - from {
+        return Err(corrupt("log shorter than its appended length"));
+    }
+    out.sync_data()?;
+    out.stream_position()
+}
+
+/// fsync the directory holding `path`, so a rename into it is durable.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 /// The covering checkpoint marker of one `(table, partition)` — see
@@ -739,43 +1153,59 @@ pub struct CoveringMarker {
     pub residual: Vec<WalEntry>,
 }
 
-/// The *covering* (highest-sequence) checkpoint marker per table, then per
-/// partition. Recovery rebuilds each partition from the persisted image
-/// the covering marker references — `image_seq` is the manifest sequence
-/// to load — replays the marker's `residual` (non-empty only for
-/// range-scoped markers), then replays the commits
-/// [`Wal::read_effective`] keeps.
-pub fn checkpoint_markers(records: &[WalRecord]) -> HashMap<String, HashMap<u32, CoveringMarker>> {
-    let mut m: HashMap<String, HashMap<u32, CoveringMarker>> = HashMap::new();
+/// Covering markers keyed by table, then partition (nested so replay
+/// filtering probes it by `&str` without allocating per record).
+pub type CoveringMarkers = HashMap<String, HashMap<u32, CoveringMarker>>;
+
+/// Split a record stream into the *covering* (highest-sequence; the later
+/// one on a tie) checkpoint marker per table and partition, and the
+/// commits recovery must replay — each commit keeps only the
+/// `(table, partition)` deltas no covering marker folded, in log order.
+/// Consumes the records: residuals move into the markers and commits are
+/// filtered in place, so neither is copied.
+///
+/// Recovery rebuilds each partition from the persisted image the covering
+/// marker references — `image_seq` is the manifest sequence to load —
+/// replays the marker's `residual` (non-empty only for range-scoped
+/// markers), then replays the surviving commits.
+pub fn checkpoint_markers(records: Vec<WalRecord>) -> (CoveringMarkers, Vec<WalRecord>) {
+    let mut markers = CoveringMarkers::new();
+    let mut commits = Vec::with_capacity(records.len());
     for rec in records {
-        if let WalRecord::Checkpoint {
-            seq,
-            table,
-            partition,
-            image_seq,
-            range,
-            residual,
-        } = rec
-        {
-            let cur = CoveringMarker {
-                seq: *seq,
-                image_seq: *image_seq,
-                range: *range,
-                residual: residual.clone(),
-            };
-            match m.entry(table.clone()).or_default().entry(*partition) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(cur);
-                }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    if *seq >= o.get().seq {
-                        o.insert(cur);
-                    }
+        match rec {
+            WalRecord::Checkpoint {
+                seq,
+                table,
+                partition,
+                image_seq,
+                range,
+                residual,
+            } => {
+                let parts = markers.entry(table).or_default();
+                if parts.get(&partition).is_none_or(|m| seq >= m.seq) {
+                    let marker = CoveringMarker {
+                        seq,
+                        image_seq,
+                        range,
+                        residual,
+                    };
+                    parts.insert(partition, marker);
                 }
             }
+            commit => commits.push(commit),
         }
     }
-    m
+    for rec in &mut commits {
+        if let WalRecord::Commit { seq, tables } = rec {
+            tables.retain(|(t, p, _)| {
+                markers
+                    .get(t.as_str())
+                    .and_then(|parts| parts.get(p))
+                    .is_none_or(|m| *seq > m.seq)
+            });
+        }
+    }
+    (markers, commits)
 }
 
 /// Flatten a (serialized, consecutive) PDT into loggable entries: one
@@ -956,6 +1386,105 @@ pub fn rebase_pdt_outside_range(
     (coalesce_entries(kept), net)
 }
 
+/// Parse the record starting at `bytes[*pos]` and advance `pos` past it.
+/// Every count is bounded by the bytes left before it sizes an
+/// allocation, so corrupt input fails with `InvalidData`, never a panic
+/// or a huge reservation.
+fn parse_record(bytes: &[u8], pos: &mut usize) -> std::io::Result<WalRecord> {
+    let magic = read_u32(bytes, pos)?;
+    if magic == CKPT_MAGIC {
+        let seq = read_u64(bytes, pos)?;
+        let table = read_name(bytes, pos)?;
+        let partition = read_u32(bytes, pos)?;
+        let image_seq = match read_u8(bytes, pos)? {
+            0 => None,
+            1 => Some(read_u64(bytes, pos)?),
+            f => return Err(corrupt(&format!("bad checkpoint image flag {f}"))),
+        };
+        let (range, residual) = match read_u8(bytes, pos)? {
+            0 => (None, Vec::new()),
+            1 => {
+                let s0 = read_u64(bytes, pos)?;
+                let s1 = read_u64(bytes, pos)?;
+                // residual values are always inline (no per-record
+                // dictionary on markers)
+                (Some((s0, s1)), read_entries(bytes, pos, &[])?)
+            }
+            f => return Err(corrupt(&format!("bad checkpoint scope {f}"))),
+        };
+        return Ok(WalRecord::Checkpoint {
+            seq,
+            table,
+            partition,
+            image_seq,
+            range,
+            residual,
+        });
+    }
+    if magic != MAGIC {
+        return Err(corrupt("bad record magic"));
+    }
+    let seq = read_u64(bytes, pos)?;
+    // per-record string dictionary (sorted distinct strings)
+    let nstrs = read_u32(bytes, pos)? as usize;
+    let mut dict = Vec::with_capacity(nstrs.min(bytes.len() - *pos));
+    for _ in 0..nstrs {
+        let n = read_u32(bytes, pos)? as usize;
+        let s = std::str::from_utf8(
+            bytes
+                .get(
+                    *pos..pos
+                        .checked_add(n)
+                        .ok_or_else(|| corrupt("bad dict entry"))?,
+                )
+                .ok_or_else(|| corrupt("truncated dict entry"))?,
+        )
+        .map_err(|_| corrupt("bad utf8 dict entry"))?
+        .to_string();
+        *pos += n;
+        dict.push(s);
+    }
+    let ntables = read_u32(bytes, pos)? as usize;
+    let mut tables = Vec::with_capacity(ntables.min(bytes.len() - *pos));
+    for _ in 0..ntables {
+        let name = read_name(bytes, pos)?;
+        let partition = read_u32(bytes, pos)?;
+        tables.push((name, partition, read_entries(bytes, pos, &dict)?));
+    }
+    Ok(WalRecord::Commit { seq, tables })
+}
+
+/// `[nentries u32]` then per entry `[sid u64][kind u16][nvals u32][values]`.
+fn read_entries(bytes: &[u8], pos: &mut usize, dict: &[String]) -> std::io::Result<Vec<WalEntry>> {
+    let nentries = read_u32(bytes, pos)? as usize;
+    let mut entries = Vec::with_capacity(nentries.min(bytes.len() - *pos));
+    for _ in 0..nentries {
+        let sid = read_u64(bytes, pos)?;
+        let kind = read_u16(bytes, pos)?;
+        let nvals = read_u32(bytes, pos)? as usize;
+        let mut values = Vec::with_capacity(nvals.min(bytes.len() - *pos));
+        for _ in 0..nvals {
+            values.push(decode_value(bytes, pos, dict)?);
+        }
+        entries.push(WalEntry { sid, kind, values });
+    }
+    Ok(entries)
+}
+
+/// `[name_len u16][name bytes]`.
+fn read_name(bytes: &[u8], pos: &mut usize) -> std::io::Result<String> {
+    let n = read_u16(bytes, pos)? as usize;
+    let name = std::str::from_utf8(
+        bytes
+            .get(*pos..*pos + n)
+            .ok_or_else(|| corrupt("truncated name"))?,
+    )
+    .map_err(|_| corrupt("bad utf8 name"))?
+    .to_string();
+    *pos += n;
+    Ok(name)
+}
+
 /// Encode one value. Strings present in `codes` (every string of a commit
 /// record — the dictionary is built from the record's own values) are
 /// logged as tag-6 codes; the tag-4 inline form remains for strings
@@ -1043,6 +1572,10 @@ fn read_array<const N: usize>(bytes: &[u8], pos: &mut usize) -> std::io::Result<
         .ok_or_else(|| corrupt("truncated field"))?;
     *pos += N;
     Ok(s.try_into().unwrap())
+}
+
+fn read_u8(b: &[u8], p: &mut usize) -> std::io::Result<u8> {
+    Ok(read_array::<1>(b, p)?[0])
 }
 
 fn read_u16(b: &[u8], p: &mut usize) -> std::io::Result<u16> {
@@ -1259,7 +1792,7 @@ mod tests {
             ),
             "image sequence roundtrips through the marker"
         );
-        let markers = checkpoint_markers(&all);
+        let (markers, _) = checkpoint_markers(all);
         let m = &markers["t"][&0];
         assert_eq!((m.seq, m.image_seq), (2, Some(2)));
         assert!(m.range.is_none() && m.residual.is_empty());
@@ -1318,7 +1851,7 @@ mod tests {
         assert_eq!(*seq, 5);
         assert_eq!(*range, Some((32, 96)));
         assert_eq!(*got, residual, "residual values roundtrip inline");
-        let markers = checkpoint_markers(&all);
+        let (markers, _) = checkpoint_markers(all);
         let m = &markers["t"][&2];
         assert_eq!((m.seq, m.range), (9, None), "highest-seq marker covers");
         let _ = std::fs::remove_file(&path);
@@ -1463,6 +1996,216 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert!(matches!(recs[0], WalRecord::Commit { seq: 1, .. }));
         assert!(matches!(recs[1], WalRecord::Checkpoint { seq: 1, .. }));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn retire_test_log(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pdt_wal_retire_{name}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("retire.wal");
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn one_ins(k: i64) -> Vec<WalEntry> {
+        vec![WalEntry {
+            sid: 0,
+            kind: INS,
+            values: vec![Value::Int(k), Value::Str(format!("s{k}"))],
+        }]
+    }
+
+    /// `(seq, table, partition, first key)` of every commit delta, and
+    /// `(seq, table, partition, image, range, residual)` of every marker.
+    #[allow(clippy::type_complexity)]
+    fn log_contents(
+        path: &Path,
+    ) -> (
+        Vec<(u64, String, u32, Value)>,
+        Vec<(u64, String, u32, Option<u64>, Option<(u64, u64)>, usize)>,
+    ) {
+        let (mut commits, mut markers) = (Vec::new(), Vec::new());
+        for rec in Wal::read_all(path).unwrap() {
+            match rec {
+                WalRecord::Commit { seq, tables } => {
+                    for (t, p, e) in tables {
+                        commits.push((seq, t, p, e[0].values[0].clone()));
+                    }
+                }
+                WalRecord::Checkpoint {
+                    seq,
+                    table,
+                    partition,
+                    image_seq,
+                    range,
+                    residual,
+                } => markers.push((seq, table, partition, image_seq, range, residual.len())),
+            }
+        }
+        (commits, markers)
+    }
+
+    #[test]
+    fn retire_keeps_exactly_the_live_records() {
+        let path = retire_test_log("live");
+        let gw = GroupWal::open(&path).unwrap();
+        let commit = |seq: u64, parts: &[(&str, u32)]| {
+            let entries: Vec<Vec<WalEntry>> = parts.iter().map(|_| one_ins(seq as i64)).collect();
+            let deltas: Vec<(&str, u32, &[WalEntry])> = parts
+                .iter()
+                .zip(&entries)
+                .map(|(&(t, p), e)| (t, p, e.as_slice()))
+                .collect();
+            let t = gw.enqueue_commit(seq, &deltas);
+            gw.wait_durable(t).unwrap();
+        };
+        let residual = one_ins(-1);
+        commit(1, &[("t", 0), ("t", 1)]);
+        commit(2, &[("t", 0), ("u", 0)]);
+        // superseded by the range marker at seq 3 below
+        gw.append_checkpoint("t", 0, 1, Some(1)).unwrap();
+        commit(3, &[("t", 0)]);
+        // image-less marker: covers (u, 0) for replay, retires nothing
+        gw.append_checkpoint("u", 0, 2, None).unwrap();
+        commit(4, &[("t", 0), ("t", 1)]);
+        gw.append_checkpoint_range("t", 0, 3, Some(3), Some((0, 8)), &residual)
+            .unwrap();
+        commit(5, &[("t", 0)]);
+        // covers every commit of (t, 1): the last commit empties out
+        gw.append_checkpoint("t", 1, 5, Some(5)).unwrap();
+        let before = std::fs::metadata(&path).unwrap().len();
+        let effective_before = Wal::read_effective(&path).unwrap();
+
+        let retired = gw.retire().unwrap();
+        let after = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(retired, before - after);
+        let s = gw.stats();
+        assert_eq!((s.bytes_appended, s.bytes_retired), (before, retired));
+        let (commits, markers) = log_contents(&path);
+        let t = |s: &str| s.to_string();
+        // seq 1 and 3 are covered everywhere and dropped; seq 2 keeps the
+        // image-less partition, seq 4 the delta above (t, 0)'s marker
+        assert_eq!(
+            commits,
+            vec![
+                (2, t("u"), 0, Value::Int(2)),
+                (4, t("t"), 0, Value::Int(4)),
+                (5, t("t"), 0, Value::Int(5)),
+            ]
+        );
+        assert_eq!(
+            markers,
+            vec![
+                (2, t("u"), 0, None, None, 0),
+                (3, t("t"), 0, Some(3), Some((0, 8)), 1),
+                (5, t("t"), 1, Some(5), None, 0),
+            ]
+        );
+        // recovery reads the same covering markers and commit deltas
+        let flat = |recs: Vec<WalRecord>| -> Vec<(u64, String, u32, Vec<WalEntry>)> {
+            recs.into_iter()
+                .flat_map(|r| match r {
+                    WalRecord::Commit { seq, tables } => tables
+                        .into_iter()
+                        .map(|(t, p, e)| (seq, t, p, e))
+                        .collect::<Vec<_>>(),
+                    WalRecord::Checkpoint { .. } => vec![],
+                })
+                .collect()
+        };
+        let effective_after = Wal::read_effective(&path).unwrap();
+        assert_eq!(
+            effective_after.last().map(|r| r.seq()),
+            effective_before.last().map(|r| r.seq()),
+            "recovery resumes the same sequence"
+        );
+        assert_eq!(flat(effective_after), flat(effective_before));
+        // the reopened appender appends to the rewritten file
+        commit(6, &[("t", 1)]);
+        assert_eq!(Wal::read_all(&path).unwrap().last().unwrap().seq(), 6);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            gw.stats().bytes_appended - gw.stats().bytes_retired
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn retirement_is_due_after_an_image_marker_once_the_log_doubles() {
+        let path = retire_test_log("trigger");
+        let gw = GroupWal::open(&path).unwrap();
+        let big = vec![WalEntry {
+            sid: 0,
+            kind: INS,
+            values: vec![Value::Str("x".repeat(4096))],
+        }];
+        let mut seq = 0;
+        let mut grow_to = |gw: &GroupWal, bytes: u64| {
+            while std::fs::metadata(&path).map_or(0, |m| m.len()) < bytes {
+                seq += 1;
+                let t = gw.enqueue_commit(seq, &[("t", 0, big.as_slice())]);
+                gw.wait_durable(t).unwrap();
+            }
+            seq
+        };
+        let s = grow_to(&gw, RETIRE_MIN_BYTES);
+        assert_eq!(gw.maybe_retire().unwrap(), 0, "no image-bearing marker yet");
+        gw.append_checkpoint("t", 0, s, None).unwrap();
+        assert_eq!(
+            gw.maybe_retire().unwrap(),
+            0,
+            "image-less markers never arm"
+        );
+        gw.append_checkpoint("t", 0, s, Some(s)).unwrap();
+        assert!(gw.maybe_retire().unwrap() > 0, "armed and past the floor");
+        assert_eq!(gw.maybe_retire().unwrap(), 0, "disarmed by the rewrite");
+        let base = std::fs::metadata(&path).unwrap().len();
+        // re-armed by a fresh marker, but the log has not doubled yet
+        let s = grow_to(&gw, RETIRE_MIN_BYTES - 8192);
+        gw.append_checkpoint("t", 0, s, Some(s)).unwrap();
+        assert_eq!(gw.maybe_retire().unwrap(), 0, "armed, below the floor");
+        grow_to(&gw, (2 * base).max(RETIRE_MIN_BYTES));
+        assert!(gw.maybe_retire().unwrap() > 0, "armed and doubled");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Records made durable after a rewrite's scan are copied over in its
+    /// swap: no commit is lost or duplicated.
+    #[test]
+    fn commits_between_scan_and_swap_survive() {
+        let path = retire_test_log("tail");
+        let gw = GroupWal::open(&path).unwrap();
+        let commit = |seq: u64, part: u32| {
+            let e = one_ins(seq as i64);
+            let t = gw.enqueue_commit(seq, &[("t", part, e.as_slice())]);
+            gw.wait_durable(t).unwrap();
+        };
+        for seq in 1..=4 {
+            commit(seq, 0);
+        }
+        gw.append_checkpoint("t", 0, 3, Some(3)).unwrap();
+        let (tmp, end) = gw
+            .stage_live()
+            .unwrap()
+            .expect("an image marker to retire by");
+        // durable after the scan: the swap must carry them over verbatim,
+        // covered or not
+        commit(5, 1);
+        gw.append_checkpoint("t", 0, 5, Some(5)).unwrap();
+        commit(6, 0);
+        let mut r = gw.retire.lock().unwrap();
+        assert!(gw.swap_in(&mut r, tmp, end).unwrap() > 0);
+        drop(r);
+        let (commits, markers) = log_contents(&path);
+        let seqs: Vec<(u64, u32)> = commits.iter().map(|c| (c.0, c.2)).collect();
+        assert_eq!(seqs, vec![(4, 0), (5, 1), (6, 0)]);
+        let marker_seqs: Vec<u64> = markers.iter().map(|m| m.0).collect();
+        assert_eq!(marker_seqs, vec![3, 5]);
+        // the tail's own covered history goes at the next rewrite
+        assert!(gw.retire().unwrap() > 0);
+        let (commits, markers) = log_contents(&path);
+        assert_eq!(commits.iter().map(|c| c.0).collect::<Vec<_>>(), vec![5, 6]);
+        assert_eq!(markers.len(), 1);
         let _ = std::fs::remove_file(&path);
     }
 
